@@ -96,6 +96,7 @@ def test_serve_throughput(emit, benchmark):
         ["metric", "value"],
         [
             ["matrix", f"circuit_like({n})"],
+            ["cpu count", os.cpu_count()],
             ["cold factorize (ms)", cold_s * 1e3],
             ["refactorise mean (ms)", mean_refac_s * 1e3],
             ["fast-path speedup", round(fastpath_speedup, 2)],
@@ -123,6 +124,7 @@ def test_serve_throughput(emit, benchmark):
         "solve_p99_ms": solve_lat["p99_ms"],
         "batching": batching,
         "bench_scale": BENCH_SCALE,
+        "cpu_count": os.cpu_count(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_serve.json").write_text(

@@ -13,6 +13,7 @@ replay-mode scheduling studies (recorded per-task stats, no numerics).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.core.task import Task, TaskType
 from repro.gpusim.costmodel import GPUCostModel, KernelLaunch
-from repro.kernels.tilekernels import KernelStats
+from repro.kernels.tilekernels import ColumnarStats, KernelStats
 from repro.verify.hazards import batch_atomic_flags
 
 
@@ -41,7 +42,7 @@ class ReplayBackend:
     per-task work.
     """
 
-    def __init__(self, stats: dict[int, KernelStats]):
+    def __init__(self, stats: Mapping[int, KernelStats]):
         self._stats = stats
         self._flops_arr = np.empty(0, dtype=np.int64)
         self._bytes_arr = np.empty(0, dtype=np.int64)
@@ -61,7 +62,8 @@ class ReplayBackend:
 
         Growth is incremental: the existing prefix is copied and only the
         stats with tids in the new ``[old, n)`` range are scattered in
-        (vectorized via a one-time sorted snapshot of the dict), so
+        (vectorized via a one-time sorted snapshot of the stats — a
+        direct row gather for :class:`ColumnarStats`), so
         several engines of different DAG sizes sharing one backend cost
         one small extension each instead of a full O(S) Python rebuild
         per size change.  ``rebuilds`` counts the extensions.
@@ -69,17 +71,25 @@ class ReplayBackend:
         if self._flops_arr.size >= n:
             return
         if self._tids_sorted is None:
-            count = len(self._stats)
-            tids = np.fromiter(self._stats.keys(), dtype=np.int64,
-                               count=count)
-            order = np.argsort(tids)
-            self._tids_sorted = tids[order]
-            self._flops_by_tid = np.fromiter(
-                (s.flops for s in self._stats.values()), dtype=np.int64,
-                count=count)[order]
-            self._bytes_by_tid = np.fromiter(
-                (s.bytes for s in self._stats.values()), dtype=np.int64,
-                count=count)[order]
+            stats = self._stats
+            if isinstance(stats, ColumnarStats):
+                # already tid-indexed: gather the recorded rows
+                tids = stats.tids()
+                self._tids_sorted = tids
+                self._flops_by_tid = stats.flops[tids]
+                self._bytes_by_tid = stats.bytes[tids]
+            else:
+                count = len(stats)
+                tids = np.fromiter(stats.keys(), dtype=np.int64,
+                                   count=count)
+                order = np.argsort(tids)
+                self._tids_sorted = tids[order]
+                self._flops_by_tid = np.fromiter(
+                    (s.flops for s in stats.values()), dtype=np.int64,
+                    count=count)[order]
+                self._bytes_by_tid = np.fromiter(
+                    (s.bytes for s in stats.values()), dtype=np.int64,
+                    count=count)[order]
         old = self._flops_arr.size
         flops = np.zeros(n, dtype=np.int64)
         nbytes = np.zeros(n, dtype=np.int64)

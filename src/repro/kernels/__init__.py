@@ -19,6 +19,7 @@ from repro.kernels.dense import (
     gemm_update,
 )
 from repro.kernels.tilekernels import (
+    ColumnarStats,
     KernelStats,
     getrf_kernel,
     tstrf_kernel,
@@ -53,6 +54,7 @@ __all__ = [
     "trsm_lower_unit",
     "trsm_upper",
     "gemm_update",
+    "ColumnarStats",
     "KernelStats",
     "getrf_kernel",
     "tstrf_kernel",

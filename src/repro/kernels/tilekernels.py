@@ -11,6 +11,8 @@ baseline produce bit-identical factors" a testable invariant.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,66 @@ class KernelStats:
 
     flops: int
     bytes: int
+
+
+class ColumnarStats(Mapping):
+    """Per-task stats as tid-indexed int64 columns.
+
+    A read-only ``Mapping[int, KernelStats]`` over ``flops``/``bytes``
+    arrays (one row per task id) and a ``recorded`` mask; the
+    :class:`KernelStats` objects are built only on item access, so
+    recording a factorisation's stats costs two array scatters per
+    launch instead of one object per task.  Compares ``==`` to any
+    mapping with the same items (a plain dict included).
+    """
+
+    __slots__ = ("flops", "bytes", "recorded")
+
+    def __init__(self, flops: np.ndarray, nbytes: np.ndarray,
+                 recorded: np.ndarray | None = None):
+        self.flops = flops
+        self.bytes = nbytes
+        self.recorded = (np.ones(flops.size, dtype=bool) if recorded is None
+                         else recorded)
+
+    def tids(self) -> np.ndarray:
+        """The recorded task ids, ascending."""
+        return np.flatnonzero(self.recorded)
+
+    def __getitem__(self, tid) -> KernelStats:
+        try:
+            t = operator.index(tid)
+        except TypeError:
+            raise KeyError(tid) from None
+        if not (0 <= t < self.recorded.size and self.recorded[t]):
+            raise KeyError(tid)
+        return KernelStats(flops=int(self.flops[t]), bytes=int(self.bytes[t]))
+
+    def __contains__(self, tid) -> bool:
+        try:
+            t = operator.index(tid)
+        except TypeError:
+            return False
+        return 0 <= t < self.recorded.size and bool(self.recorded[t])
+
+    def __iter__(self):
+        return iter(self.tids().tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.recorded))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ColumnarStats):
+            mask = self.recorded
+            return (np.array_equal(mask, other.recorded)
+                    and np.array_equal(self.flops[mask], other.flops[mask])
+                    and np.array_equal(self.bytes[mask], other.bytes[mask]))
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ColumnarStats({len(self)} tasks)"
 
 
 def _nnz(a: np.ndarray) -> int:

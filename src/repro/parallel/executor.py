@@ -38,6 +38,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,7 @@ from repro.core.executor import BatchPlan, record_batch_plan
 from repro.gpusim.costmodel import GPUCostModel
 from repro.gpusim.specs import GPUSpec, RTX5090
 from repro.kernels.batched import batch_kernels_enabled, pinned_blas_env
-from repro.kernels.tilekernels import KernelStats
+from repro.kernels.tilekernels import ColumnarStats, KernelStats
 from repro.parallel.shmem import SharedRhsPool, SharedTileArena
 from repro.parallel.worker import TaskColumns, worker_main
 from repro.solvers import SOLVER_REGISTRY
@@ -129,7 +130,7 @@ class ParallelFactorization:
     L: CSRMatrix
     U: CSRMatrix
     perm: np.ndarray
-    stats: dict[int, KernelStats]
+    stats: Mapping[int, KernelStats]
     dag: TaskDAG
     batch_plan: BatchPlan
     plan: "PlanSpec | None"
@@ -443,10 +444,7 @@ class ParallelExecutor:
         self._run_batches(pid, plan.batches, arrays, owner, flops, nbytes)
         t3 = time.perf_counter()
         L, U = engine.extract_factors()
-        stats = {
-            tid: KernelStats(flops=f, bytes=b)
-            for tid, f, b in zip(range(n), flops.tolist(), nbytes.tolist())
-        }
+        stats = ColumnarStats(flops, nbytes)
         messages, comm_bytes = message_accounting(engine.dag, owner,
                                                   self.msg_scale)
         self.phase_seconds.update(self._solver._front_seconds)

@@ -14,8 +14,12 @@ Request model
 -------------
 Sessions are pattern-keyed: a ``factorize`` whose (pattern, solver
 config) matches a resident session takes the refactorise fast path —
-re-stamp tiles, re-run numeric tasks, skip ordering + symbolic — which
+re-stamp tiles and replay the recorded launches of the session's last
+schedule, skipping ordering, symbolic analysis and the scheduler (the
+``streams`` scheduler, whose launches overlap, re-runs instead) — which
 is the Newton-loop traffic shape of ``examples/circuit_simulation.py``.
+A NaN or infinite value is a ``BAD_REQUEST`` that leaves the session
+as it was.
 ``solve`` requests hit the session's warm, lazily-built SpTRSV contexts.
 Admission control (a max-inflight bound over a bounded queue, plus
 per-request deadlines honoured while queued) turns overload into fast
@@ -33,6 +37,7 @@ kernels' C time.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
 
@@ -49,6 +54,7 @@ from repro.serve.protocol import (
     read_message,
 )
 from repro.solvers import SOLVER_REGISTRY
+from repro.solvers.base import NonFiniteValuesError
 from repro.solvers.engine import NumericEngine
 from repro.solvers.sptrsv import fold_rhs, unfold_rhs
 from repro.sparse import CSRMatrix, permute_symmetric
@@ -85,6 +91,16 @@ class _Session:
     @property
     def result(self):
         return self.solver.result
+
+
+@contextlib.contextmanager
+def _bad_values_rejected():
+    """Report non-finite matrix values as ``BAD_REQUEST``: the solver
+    rejects them before touching any session state."""
+    try:
+        yield
+    except NonFiniteValuesError as exc:
+        raise ServeError("BAD_REQUEST", str(exc)) from exc
 
 
 def _solver_options(header: dict) -> tuple[str, dict]:
@@ -468,7 +484,8 @@ class SolverServer:
                 cls = SOLVER_REGISTRY[solver_name]
                 solver = cls(a, analysis_cache=self.cache, **opts)
                 t = time.perf_counter()
-                solver.factorize()
+                with _bad_values_rejected():
+                    solver.factorize()
                 return solver, time.perf_counter() - t
 
             solver, seconds = await self._run_admitted(
@@ -506,7 +523,8 @@ class SolverServer:
 
         def work():
             t = time.perf_counter()
-            session.solver.refactorize(a)
+            with _bad_values_rejected():
+                session.solver.refactorize(a)
             # Re-pin the session's analysis products in the shared
             # cache: warm traffic keeps its pattern LRU-fresh (cold
             # patterns are evicted first) and, if the entry was ever

@@ -16,8 +16,32 @@ from repro.solvers.engine import (
     NumericBackend,
     NumericEngine,
 )
+from repro.solvers.replay import REPLAY_SCHEDULERS, LaunchReplay
 from repro.sparse import CSRMatrix, permute_symmetric
 from repro.sparse.blocking import Partition
+
+
+class NonFiniteValuesError(ValueError):
+    """The matrix holds a NaN or infinite value.
+
+    Tile extraction drops NaN entries (``abs(nan) > tol`` is false), so
+    a non-finite input would otherwise "factorise" into finite, wrong
+    factors; it is rejected up front instead.
+    """
+
+
+def check_finite(a: CSRMatrix) -> None:
+    """Raise :class:`NonFiniteValuesError` naming the first stored
+    non-finite entry's global ``(row, col)``."""
+    finite = np.isfinite(a.data)
+    if finite.all():
+        return
+    pos = int(np.argmin(finite))
+    row = int(np.searchsorted(a.indptr, pos, side="right")) - 1
+    col = int(a.indices[pos])
+    raise NonFiniteValuesError(
+        f"matrix value at (row {row}, col {col}) is {a.data[pos]!r}; "
+        "factorisation needs finite values")
 
 
 class BlockSolverBase:
@@ -72,6 +96,7 @@ class BlockSolverBase:
         self.batch_kernels = batch_kernels
         self.sched_kwargs = sched_kwargs
         self.result: FactorizationResult | None = None
+        self._replay: LaunchReplay | None = None
 
     # ------------------------------------------------------------------
     def _build_partition(self, permuted: CSRMatrix):
@@ -110,6 +135,15 @@ class BlockSolverBase:
         backend the scheduler should use."""
         return engine.dag, backend
 
+    def _run_scheduler(self, engine):
+        """Schedule and execute the numeric phase on ``engine``'s tiles;
+        returns ``(schedule, stats)``."""
+        backend = NumericBackend(engine)
+        sched_dag, sched_backend = self._prepare_schedule(engine, backend)
+        schedule = self._make_scheduler(sched_dag, sched_backend,
+                                        GPUCostModel(self.gpu)).run()
+        return schedule, backend.stats
+
     # ------------------------------------------------------------------
     def prepare_engine(self, arena_factory=None
                        ) -> tuple[np.ndarray, CSRMatrix, NumericEngine]:
@@ -119,8 +153,10 @@ class BlockSolverBase:
         solver.  :meth:`factorize` calls this and then schedules the
         numeric phase in-process; ``repro.parallel`` calls it with
         ``arena_factory=SharedTileArena`` so the same front-end feeds a
-        multiprocess numeric phase on shared tiles.
+        multiprocess numeric phase on shared tiles.  Raises
+        :class:`NonFiniteValuesError` if a value is NaN or infinite.
         """
+        check_finite(self.a)
         t0 = time.perf_counter()
         perm = compute_ordering(self.a, self.ordering)
         permuted = permute_symmetric(self.a, perm)
@@ -131,6 +167,7 @@ class BlockSolverBase:
                                batch_kernels=self.batch_kernels,
                                arena_factory=arena_factory)
         self._engine = engine
+        self._replay = None
         self._perm = perm
         self._front_seconds = {"reorder": t1 - t0,
                                "symbolic": time.perf_counter() - t1}
@@ -145,10 +182,7 @@ class BlockSolverBase:
         """
         perm, _, engine = self.prepare_engine()
         t2 = time.perf_counter()
-        backend = NumericBackend(engine)
-        model = GPUCostModel(self.gpu)
-        sched_dag, sched_backend = self._prepare_schedule(engine, backend)
-        schedule = self._make_scheduler(sched_dag, sched_backend, model).run()
+        schedule, stats = self._run_scheduler(engine)
         L, U = engine.extract_factors()
         t3 = time.perf_counter()
         self.result = FactorizationResult(
@@ -157,7 +191,7 @@ class BlockSolverBase:
             L=L, U=U, perm=perm,
             schedule=schedule,
             dag=engine.dag,
-            stats=backend.stats,
+            stats=stats,
             fill_nnz=engine.fill.nnz_lu,
             phase_seconds={
                 "reorder": self._front_seconds["reorder"],
@@ -179,18 +213,37 @@ class BlockSolverBase:
         Reuses the ordering, symbolic analysis, tile allocation and task
         DAG of the previous :meth:`factorize` call — the KLU-style fast
         path circuit simulators rely on (values change every Newton step,
-        structure never does).
+        structure never does).  After re-stamping the tiles it replays
+        the recorded launches of the previous result's schedule instead
+        of re-running the scheduler: batch composition does not depend
+        on the values, so the factors, stats and rebuilt
+        :class:`~repro.core.scheduler.ScheduleResult` are bit-identical
+        to a fresh scheduler run (see :mod:`repro.solvers.replay`).
+        Replay does not apply to ``streams`` (its launches overlap across
+        streams) or to substrate-specific policies such as PaStiX's
+        ``dmdas``; those re-run their scheduler.
+
+        Raises :class:`NonFiniteValuesError` (before touching the tiles)
+        if a value is NaN or infinite.  If the numeric phase fails (a
+        zero pivot), :attr:`result` keeps the previous factorisation.
         """
         if self.result is None:
             raise RuntimeError("call factorize() before refactorize()")
+        check_finite(a_new)
         t0 = time.perf_counter()
         permuted = permute_symmetric(a_new, self._perm)
         engine = self._engine
         engine.reset_values(permuted)
-        backend = NumericBackend(engine)
-        model = GPUCostModel(self.gpu)
-        sched_dag, sched_backend = self._prepare_schedule(engine, backend)
-        schedule = self._make_scheduler(sched_dag, sched_backend, model).run()
+        if self.scheduler in REPLAY_SCHEDULERS:
+            if self._replay is None:
+                backend = NumericBackend(engine)
+                sched_dag, sched_backend = self._prepare_schedule(engine,
+                                                                  backend)
+                self._replay = LaunchReplay(self.result.schedule, sched_dag,
+                                            sched_backend, backend)
+            schedule, stats = self._replay.run(GPUCostModel(self.gpu))
+        else:
+            schedule, stats = self._run_scheduler(engine)
         L, U = engine.extract_factors()
         t1 = time.perf_counter()
         self.a = a_new
@@ -200,7 +253,7 @@ class BlockSolverBase:
             L=L, U=U, perm=self._perm,
             schedule=schedule,
             dag=engine.dag,
-            stats=backend.stats,
+            stats=stats,
             fill_nnz=engine.fill.nnz_lu,
             phase_seconds={"reorder": 0.0, "symbolic": 0.0,
                            "numeric": t1 - t0},

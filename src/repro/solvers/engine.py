@@ -12,6 +12,7 @@ reassociation of commuting Schur updates.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.kernels.batched import (
     batched_tstrf,
 )
 from repro.kernels.tilekernels import (
+    ColumnarStats,
     KernelStats,
     geesm_kernel,
     getrf_kernel,
@@ -44,46 +46,88 @@ from repro.sparse.blocking import Partition, split_tiles
 from repro.symbolic import block_fill, symbolic_fill
 
 
-# verify: effects(arena)
-def run_batch_on_arena(arena, tids: np.ndarray, atomic: np.ndarray, arrays,
-                       *, sparse_tiles: bool = False,
-                       batch_kernels: bool = True
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Execute one launch's factorisation tasks on a tile arena.
+def _operand_tiles(code: int, k: int, i: int, j: int) -> tuple:
+    """Tile coordinates one task's kernel takes, in argument order."""
+    if code == int(TaskType.GETRF):
+        return ((k, k),)
+    if code == int(TaskType.TSTRF):
+        return ((i, k), (k, k))
+    if code == int(TaskType.GEESM):
+        return ((k, j), (k, k))
+    return ((i, j), (i, k), (k, j))
 
-    The free-function form of :meth:`NumericEngine.run_batch_tasks`: it
-    needs only the arena (any :class:`~repro.solvers.tilepool.TileArena`,
-    including a shared-memory one attached in a worker process), the
-    batch's task ids, their atomic flags, and the task coordinate
-    columns (``type_code``/``k``/``i``/``j``) — no engine, DAG or
-    backend.  ``repro.parallel`` workers call this directly so the
-    multiprocess path executes the *identical* kernel-group code the
-    single-process engine runs.
+
+def _tile_kernel(code: int, views: list, sparse: bool,
+                 atomic: bool) -> KernelStats:
+    """Run one task's per-task kernel on its operand tile views."""
+    if code == int(TaskType.GETRF):
+        return getrf_kernel(views[0], sparse=sparse)
+    if code == int(TaskType.TSTRF):
+        return tstrf_kernel(views[0], views[1], sparse=sparse)
+    if code == int(TaskType.GEESM):
+        return geesm_kernel(views[0], views[1], sparse=sparse)
+    return ssssm_kernel(views[0], views[1], views[2], sparse=sparse,
+                        atomic=atomic)
+
+
+@dataclass(frozen=True, eq=False)
+class LaunchPlan:
+    """The index work of one launch, detached from the tile values.
+
+    Built by :func:`plan_launch`, run by :func:`execute_launch`.  A plan
+    depends only on the tile layout and the launch's task ids and
+    atomic flags, so one plan serves every re-execution of the launch
+    on re-stamped values.  Groups are ``(class, slots)`` gathers into
+    the arena's pools; ``idx`` arrays index the launch's tasks.
+
+    Attributes
+    ----------
+    tids:
+        The launch's task ids (rows of the per-task stat arrays).
+    tasks:
+        Per-task kernel calls ``(idx, code, atomic, operands)`` with
+        operands as ``(class, slot)`` pairs in argument order — the
+        GETRFs, or every task when batching is off or the launch holds
+        one task.
+    solves:
+        Stacked triangular-solve groups ``(kernel, idx, cls, slots,
+        diag_cls, diag_slots)``, TSTRF groups before GEESM groups.
+    updates:
+        Conflict-free SSSSM groups ``(idx, tcls, tslots, lcls, lslots,
+        ucls, uslots)``.
+    products:
+        Atomic SSSSM product groups ``(idx, pos, lcls, lslots, ucls,
+        uslots)``; ``pos`` are the members' places in the apply order.
+    apply_idx, apply_targets:
+        The atomic SSSSMs in serial apply (batch) order: their launch
+        indices and target ``(class, slot)`` pairs.
+    """
+
+    tids: np.ndarray
+    tasks: tuple = ()
+    solves: tuple = ()
+    updates: tuple = ()
+    products: tuple = ()
+    apply_idx: np.ndarray | None = None
+    apply_targets: tuple = ()
+
+
+def plan_launch(arena, tids: np.ndarray, atomic: np.ndarray, arrays, *,
+                batch_kernels: bool = True) -> LaunchPlan:
+    """Plan one launch's factorisation tasks on a tile arena.
 
     Partitions the batch by (task type, tile shape class): TSTRF and
-    GEESM groups become one stacked multi-RHS triangular solve (each
-    slice against its own diagonal tile); conflict-free SSSSM groups
-    become one stacked ``np.matmul``; atomic (same-target) SSSSMs get
-    their products from a stacked matmul too, applied serially in batch
-    order because their byte accounting depends on the intermediate
-    target state; only GETRF tasks run through the per-task kernel.
-    Returns per-task ``(flops, bytes)`` int64 arrays aligned with
-    ``tids``.
-
-    Safe because co-batched tasks are mutually independent (no DAG
-    edges within a ready set), so they touch pairwise-disjoint tiles
-    except for same-target SSSSMs — whose ordered serial apply replays
-    exactly the per-task execution.  Stack slices run the identical 2-D
-    kernel cores, so factors and stats are bit-identical to the
-    per-task path — and, for the same reason, identical for *any*
-    partition of a batch across processes that keeps same-target
-    SSSSMs together and in batch order.
+    GEESM groups become one stacked multi-RHS triangular solve each
+    (every slice against its own diagonal tile), conflict-free SSSSM
+    groups one stacked ``np.matmul``, and atomic (same-target) SSSSMs
+    get their products from stacked matmuls applied serially in batch
+    order; only GETRF tasks (every task with ``batch_kernels`` off or a
+    single-task launch) stay per-task kernel calls.  Reads only the
+    arena's layout (``locate``/``slot_of``), never its values.
     """
-    tids = np.asarray(tids, dtype=np.int64)
+    # a copy: the plan outlives the call, and callers reuse tid buffers
+    tids = np.array(tids, dtype=np.int64)
     n = tids.size
-    flops = np.zeros(n, dtype=np.int64)
-    nbytes = np.zeros(n, dtype=np.int64)
-    sp = sparse_tiles
     code = arrays.type_code[tids]
     kk = arrays.k[tids]
     ii = arrays.i[tids]
@@ -92,102 +136,155 @@ def run_batch_on_arena(arena, tids: np.ndarray, atomic: np.ndarray, arrays,
         straggler = np.ones(n, dtype=bool)
     else:
         straggler = code == int(TaskType.GETRF)
-    for idx in np.flatnonzero(straggler):
+    tasks = []
+    for idx in np.flatnonzero(straggler).tolist():
         c = int(code[idx])
-        k = int(kk[idx])
-        if c == int(TaskType.GETRF):
-            s = getrf_kernel(arena.view(k, k), sparse=sp)
-        elif c == int(TaskType.TSTRF):
-            s = tstrf_kernel(arena.view(int(ii[idx]), k),
-                             arena.view(k, k), sparse=sp)
-        elif c == int(TaskType.GEESM):
-            s = geesm_kernel(arena.view(k, int(jj[idx])),
-                             arena.view(k, k), sparse=sp)
-        else:
-            i, j = int(ii[idx]), int(jj[idx])
-            s = ssssm_kernel(arena.view(i, j), arena.view(i, k),
-                             arena.view(k, j), sparse=sp,
-                             atomic=bool(atomic[idx]))
-        flops[idx] = s.flops
-        nbytes[idx] = s.bytes
+        coords = _operand_tiles(c, int(kk[idx]), int(ii[idx]), int(jj[idx]))
+        tasks.append((idx, c, bool(atomic[idx]),
+                      tuple(arena.slot_of(bi, bj) for bi, bj in coords)))
     if straggler.all():
-        return flops, nbytes
-    pools = arena.pools
+        return LaunchPlan(tids=tids, tasks=tuple(tasks))
 
-    def _solve_groups(sel, row_idx, col_idx, solver):
+    def _solve_groups(sel, row_idx, col_idx, kernel):
         """Group panel tiles by shape class; one stacked triangular
         solve per group, each slice against its own diagonal tile."""
         cls, slots = arena.locate(row_idx[sel], col_idx[sel])
         dcls, dslots = arena.locate(kk[sel], kk[sel])
         for c in np.unique(cls):
             mask = cls == c
-            mem = sel[mask]
-            pool = pools[int(c)]
-            gslots = slots[mask]
-            stack = pool[gslots]
-            dstack = pools[int(dcls[mask][0])][dslots[mask]]
-            f, b = solver(stack, dstack, sp)
-            pool[gslots] = stack
-            flops[mem] = f
-            nbytes[mem] = b
+            solves.append((kernel, sel[mask], int(c), slots[mask],
+                           int(dcls[mask][0]), dslots[mask]))
 
+    solves: list = []
     sel = np.flatnonzero(code == int(TaskType.TSTRF))
     if sel.size:
         _solve_groups(sel, ii, kk, batched_tstrf)
     sel = np.flatnonzero(code == int(TaskType.GEESM))
     if sel.size:
         _solve_groups(sel, kk, jj, batched_geesm)
+    updates: list = []
+    products: list = []
+    apply_idx = None
+    apply_targets: tuple = ()
     sel = np.flatnonzero(code == int(TaskType.SSSSM))
     if sel.size:
         tcls, tslots = arena.locate(ii[sel], jj[sel])
         lcls, lslots = arena.locate(ii[sel], kk[sel])
         ucls, uslots = arena.locate(kk[sel], jj[sel])
         # (target class, L class) pins all three tile shapes
-        key = tcls * len(pools) + lcls
+        key = tcls * len(arena.pools) + lcls
         atom = atomic[sel]
         for kv in np.unique(key):
             mask = (key == kv) & ~atom
             if not mask.any():
                 continue
-            mem = sel[mask]
-            tpool = pools[int(tcls[mask][0])]
-            lpool = pools[int(lcls[mask][0])]
-            upool = pools[int(ucls[mask][0])]
-            gslots = tslots[mask]
-            tstack = tpool[gslots]
-            f, b = batched_ssssm(tstack, lpool[lslots[mask]],
-                                 upool[uslots[mask]], sp)
-            tpool[gslots] = tstack
-            flops[mem] = f
-            nbytes[mem] = b
+            updates.append((sel[mask], int(tcls[mask][0]), tslots[mask],
+                            int(lcls[mask][0]), lslots[mask],
+                            int(ucls[mask][0]), uslots[mask]))
         apos = np.flatnonzero(atom)
         if apos.size:
-            # atomic (same-target) updates: products in stacked
-            # matmuls per group, then a serial ordered apply that
-            # replays the per-task batch order — bit-identical,
-            # including the intermediate-state byte accounting
-            prods: list = [None] * apos.size
-            base = np.zeros(apos.size, dtype=np.int64)
             akey = key[apos]
             for kv in np.unique(akey):
                 mask = akey == kv
                 gpos = apos[mask]
-                lpool = pools[int(lcls[gpos[0]])]
-                upool = pools[int(ucls[gpos[0]])]
-                p, f, b0 = batched_ssssm_products(
-                    lpool[lslots[gpos]], upool[uslots[gpos]], sp)
-                flops[sel[gpos]] = f
-                base[mask] = b0
-                for row, pos in enumerate(np.flatnonzero(mask)):
-                    prods[pos] = p[row]
-            tviews = [pools[c][s] for c, s
-                      in zip(tcls[apos].tolist(), tslots[apos].tolist())]
-            after = np.empty(apos.size, dtype=np.int64)
-            for pos, view in enumerate(tviews):
-                view -= prods[pos]
-                after[pos] = np.count_nonzero(view)
-            nbytes[sel[apos]] = 8 * (base + (2 * after if sp else after))
+                products.append((sel[gpos], np.flatnonzero(mask),
+                                 int(lcls[gpos[0]]), lslots[gpos],
+                                 int(ucls[gpos[0]]), uslots[gpos]))
+            apply_idx = sel[apos]
+            apply_targets = tuple(zip(tcls[apos].tolist(),
+                                      tslots[apos].tolist()))
+    return LaunchPlan(tids=tids, tasks=tuple(tasks), solves=tuple(solves),
+                      updates=tuple(updates), products=tuple(products),
+                      apply_idx=apply_idx, apply_targets=apply_targets)
+
+
+# verify: effects(arena)
+def execute_launch(arena, plan: LaunchPlan, sparse_tiles: bool
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Run a planned launch's kernels on the arena's current values.
+
+    Returns per-task ``(flops, bytes)`` int64 arrays aligned with
+    ``plan.tids``.  Stack slices run the identical 2-D kernel cores the
+    per-task kernels run, so factors and stats are bit-identical to the
+    per-task path; atomic SSSSMs apply their products serially in batch
+    order because their byte accounting reads the intermediate target.
+    """
+    n = plan.tids.size
+    flops = np.zeros(n, dtype=np.int64)
+    nbytes = np.zeros(n, dtype=np.int64)
+    sp = sparse_tiles
+    pools = arena.pools
+    for idx, code, atom, operands in plan.tasks:
+        s = _tile_kernel(code, [pools[c][slot] for c, slot in operands],
+                         sp, atom)
+        flops[idx] = s.flops
+        nbytes[idx] = s.bytes
+    for kernel, mem, c, gslots, dc, dslots in plan.solves:
+        pool = pools[c]
+        stack = pool[gslots]
+        f, b = kernel(stack, pools[dc][dslots], sp)
+        pool[gslots] = stack
+        flops[mem] = f
+        nbytes[mem] = b
+    for mem, tc, tslots, lc, lslots, uc, uslots in plan.updates:
+        tpool = pools[tc]
+        tstack = tpool[tslots]
+        f, b = batched_ssssm(tstack, pools[lc][lslots], pools[uc][uslots],
+                             sp)
+        tpool[tslots] = tstack
+        flops[mem] = f
+        nbytes[mem] = b
+    if plan.apply_targets:
+        # atomic (same-target) updates: products in stacked matmuls per
+        # group, then a serial ordered apply that replays the per-task
+        # batch order — bit-identical, including the intermediate-state
+        # byte accounting
+        na = len(plan.apply_targets)
+        prods: list = [None] * na
+        base = np.zeros(na, dtype=np.int64)
+        for mem, pos, lc, lslots, uc, uslots in plan.products:
+            p, f, b0 = batched_ssssm_products(pools[lc][lslots],
+                                              pools[uc][uslots], sp)
+            flops[mem] = f
+            base[pos] = b0
+            for row, q in enumerate(pos.tolist()):
+                prods[q] = p[row]
+        tviews = [pools[c][slot] for c, slot in plan.apply_targets]
+        after = np.empty(na, dtype=np.int64)
+        for q, view in enumerate(tviews):
+            view -= prods[q]
+            after[q] = np.count_nonzero(view)
+        nbytes[plan.apply_idx] = 8 * (base + (2 * after if sp else after))
     return flops, nbytes
+
+
+def run_batch_on_arena(arena, tids: np.ndarray, atomic: np.ndarray, arrays,
+                       *, sparse_tiles: bool = False,
+                       batch_kernels: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Execute one launch's factorisation tasks on a tile arena.
+
+    ``execute_launch(plan_launch(...))``: the free-function form of
+    :meth:`NumericEngine.run_batch_tasks`.  It needs only the arena (any
+    :class:`~repro.solvers.tilepool.TileArena`, including a
+    shared-memory one attached in a worker process), the batch's task
+    ids, their atomic flags, and the task coordinate columns
+    (``type_code``/``k``/``i``/``j``) — no engine, DAG or backend.
+    ``repro.parallel`` workers call this directly, and refactorisation
+    replays cached plans through :func:`execute_launch`, so every path
+    runs the *identical* kernel-group code.  Returns per-task
+    ``(flops, bytes)`` int64 arrays aligned with ``tids``.
+
+    Safe because co-batched tasks are mutually independent (no DAG
+    edges within a ready set), so they touch pairwise-disjoint tiles
+    except for same-target SSSSMs — whose ordered serial apply replays
+    exactly the per-task execution.  Factors and stats are therefore
+    identical for *any* partition of a batch across processes that
+    keeps same-target SSSSMs together and in batch order.
+    """
+    plan = plan_launch(arena, tids, atomic, arrays,
+                       batch_kernels=batch_kernels)
+    return execute_launch(arena, plan, sparse_tiles)
 
 
 class NumericEngine:
@@ -397,39 +494,60 @@ class NumericBackend:
 
     def __init__(self, engine: NumericEngine):
         self._engine = engine
-        self._stats: dict[int, KernelStats] = {}
-        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Record into fresh stat columns; a :attr:`stats` taken before
+        keeps the old ones."""
+        n = self._engine.dag.n_tasks
+        self._flops = np.zeros(n, dtype=np.int64)
+        self._bytes = np.zeros(n, dtype=np.int64)
+        self._recorded = np.zeros(n, dtype=bool)
 
     @property
-    def stats(self) -> dict[int, KernelStats]:
-        """Per-task stats dict, materialised lazily from batch buffers.
-
-        Batched launches record raw per-task arrays; turning 20k+ of
-        those rows into :class:`KernelStats` objects happens here, in
-        bulk, on first access — off the numeric execution hot path."""
-        if self._pending:
-            stats = self._stats
-            for tids, flops, nbytes in self._pending:
-                for tid, f, b in zip(tids.tolist(), flops.tolist(),
-                                     nbytes.tolist()):
-                    stats[tid] = KernelStats(flops=f, bytes=b)
-            self._pending.clear()
-        return self._stats
+    def stats(self) -> ColumnarStats:
+        """Per-task stats recorded so far, as a tid-indexed columnar
+        mapping (no per-task objects are built unless items are read)."""
+        return ColumnarStats(self._flops, self._bytes, self._recorded)
 
     def run_task(self, task: Task, atomic: bool) -> KernelStats:
-        """Execute numerically and memoise the exact stats."""
+        """Execute numerically and record the exact stats."""
         stats = self._engine.run_task(task, atomic)
-        self._stats[task.tid] = stats
+        self._flops[task.tid] = stats.flops
+        self._bytes[task.tid] = stats.bytes
+        self._recorded[task.tid] = True
         return stats
+
+    def _record(self, tids: np.ndarray, flops: np.ndarray,
+                nbytes: np.ndarray) -> tuple[int, int]:
+        self._flops[tids] = flops
+        self._bytes[tids] = nbytes
+        self._recorded[tids] = True
+        return int(flops.sum()), int(nbytes.sum())
 
     def run_batch_tasks(self, tids: np.ndarray, atomic: np.ndarray,
                         arrays) -> tuple[int, int]:
         """Execute one launch via the engine's batched kernel groups,
-        buffering per-task stats, and return the launch totals."""
+        recording per-task stats, and return the launch totals."""
         flops, nbytes = self._engine.run_batch_tasks(tids, atomic, arrays)
-        self._pending.append((np.asarray(tids, dtype=np.int64).copy(),
-                              flops, nbytes))
-        return int(flops.sum()), int(nbytes.sum())
+        return self._record(tids, flops, nbytes)
+
+    def plan_batch(self, tids: np.ndarray, atomic: np.ndarray,
+                   arrays) -> LaunchPlan:
+        """:func:`plan_launch` of one launch on the engine's arena, in
+        the engine's batching mode."""
+        engine = self._engine
+        return plan_launch(engine.arena, tids, atomic, arrays,
+                           batch_kernels=engine.batch_kernels)
+
+    def run_plan(self, plan: LaunchPlan) -> tuple[int, int]:
+        """Execute a planned launch, recording per-task stats; returns
+        the launch totals (what :meth:`run_batch_tasks` returns for the
+        same launch)."""
+        engine = self._engine
+        flops, nbytes = execute_launch(engine.arena, plan,
+                                       engine.sparse_tiles)
+        return self._record(plan.tids, flops, nbytes)
 
 
 @dataclass
@@ -450,7 +568,8 @@ class FactorizationResult:
     dag:
         The task DAG (replayable against other schedulers/GPUs).
     stats:
-        Exact per-task work recorded during numeric execution.
+        Exact per-task work recorded during numeric execution, as a
+        :class:`~repro.kernels.tilekernels.ColumnarStats` mapping.
     fill_nnz:
         Predicted nnz(L+U) from the symbolic phase.
     phase_seconds:
@@ -466,7 +585,7 @@ class FactorizationResult:
     perm: np.ndarray
     schedule: ScheduleResult
     dag: TaskDAG
-    stats: dict[int, KernelStats]
+    stats: Mapping[int, KernelStats]
     fill_nnz: int
     phase_seconds: dict[str, float]
     #: cached (L, U) SpTRSV contexts for the batched solve path
@@ -616,7 +735,7 @@ class FactorizationResult:
         return float(np.max(self.residuals(a, b, x)))
 
 
-def scale_stats(stats: dict[int, KernelStats],
+def scale_stats(stats: Mapping[int, KernelStats],
                 flop_factor: float,
                 byte_factor: float | None = None) -> dict[int, KernelStats]:
     """Extrapolate recorded per-task work to a larger problem scale.
@@ -649,7 +768,7 @@ def scale_stats(stats: dict[int, KernelStats],
 
 
 def resimulate(result: FactorizationResult, scheduler: str,
-               gpu: GPUSpec, stats: dict[int, KernelStats] | None = None,
+               gpu: GPUSpec, stats: Mapping[int, KernelStats] | None = None,
                merge_schur: bool = False, **kwargs) -> ScheduleResult:
     """Re-run only the *schedule* of a finished factorisation.
 

@@ -100,6 +100,14 @@ class TileArena:
             return False
         return self._class[bi * self.nb + bj] >= 0
 
+    def slot_of(self, bi: int, bj: int) -> tuple[int, int]:
+        """``(class, slot)`` of one structurally nonzero tile."""
+        flat = bi * self.nb + bj
+        c = int(self._class[flat])
+        if c < 0:
+            raise KeyError((bi, bj))
+        return c, int(self._slot[flat])
+
     def view(self, bi: int, bj: int) -> np.ndarray:
         """Writable ``(m, n)`` view of one tile's pool slot."""
         c = int(self._class[bi * self.nb + bj])

@@ -18,7 +18,7 @@ from repro.core.executor import Executor, ReplayBackend
 from repro.core.task import TaskType
 from repro.gpusim import GPUCostModel, RTX5090
 from repro.kernels.batched import batch_kernels_enabled
-from repro.kernels.tilekernels import KernelStats
+from repro.kernels.tilekernels import ColumnarStats, KernelStats
 from repro.matrices import circuit_like, poisson2d, tridiagonal
 from repro.ordering import compute_ordering
 from repro.solvers import (
@@ -275,3 +275,67 @@ class TestReplayRebuild:
         with pytest.raises(KeyError):
             backend.batch_stats(np.array([15]), np.zeros(1, dtype=bool),
                                 arrays)
+
+
+class _NoItemAccess(ColumnarStats):
+    """Columnar stats that fail on per-item access."""
+
+    def __getitem__(self, tid):
+        raise AssertionError("ReplayBackend built per-task objects")
+
+
+class TestReplayRebuildColumnar(TestReplayRebuild):
+    """The same growth contract over :class:`ColumnarStats`, gathered
+    from the columns without building per-task objects."""
+
+    @staticmethod
+    def _backend(n_tasks=100):
+        stats = {tid: KernelStats(flops=tid + 1, bytes=10 * tid + 1)
+                 for tid in range(n_tasks)}
+        tids = np.arange(n_tasks, dtype=np.int64)
+        return ReplayBackend(_NoItemAccess(tids + 1, 10 * tids + 1)), stats
+
+    def test_columnar_holes_are_missing(self):
+        flops = np.arange(8, dtype=np.int64)
+        recorded = np.ones(8, dtype=bool)
+        recorded[5] = False
+        backend = ReplayBackend(_NoItemAccess(flops, 2 * flops, recorded))
+        arrays = types.SimpleNamespace(nnz=np.zeros(8))
+        atomic = np.zeros(2, dtype=bool)
+        assert backend.batch_stats(np.array([3, 6]), atomic, arrays) == (9, 18)
+        with pytest.raises(KeyError):
+            backend.batch_stats(np.array([4, 5]), atomic, arrays)
+
+
+class TestColumnarStats:
+    def test_mapping_contract(self):
+        flops = np.array([5, 6, 7], dtype=np.int64)
+        nbytes = np.array([50, 60, 70], dtype=np.int64)
+        stats = ColumnarStats(flops, nbytes, np.array([True, False, True]))
+        plain = {0: KernelStats(5, 50), 2: KernelStats(7, 70)}
+        assert stats == plain and plain == stats
+        assert stats != {0: KernelStats(5, 50)}
+        assert len(stats) == 2 and list(stats) == [0, 2]
+        assert 2 in stats and 1 not in stats and -1 not in stats
+        assert np.int64(2) in stats and "x" not in stats
+        assert stats[np.int64(2)] == KernelStats(7, 70)
+        for bad in (1, 3, -1, "x"):
+            with pytest.raises(KeyError):
+                stats[bad]
+
+    def test_columnar_equality_ignores_unrecorded_rows(self):
+        rec = np.array([True, False])
+        a = ColumnarStats(np.array([1, 2]), np.array([3, 4]), rec)
+        b = ColumnarStats(np.array([1, 9]), np.array([3, 9]), rec.copy())
+        assert a == b
+        assert a != ColumnarStats(np.array([1, 2]), np.array([3, 4]))
+
+    def test_solver_stats_are_columnar_and_scale(self):
+        from repro.solvers import scale_stats
+
+        run = PanguLUSolver(poisson2d(8), block_size=16).factorize()
+        assert isinstance(run.stats, ColumnarStats)
+        assert len(run.stats) == run.dag.n_tasks
+        scaled = scale_stats(run.stats, 8.0, byte_factor=2.0)
+        for tid, s in run.stats.items():
+            assert scaled[tid] == KernelStats(8 * s.flops, 2 * s.bytes)

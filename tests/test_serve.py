@@ -31,6 +31,10 @@ from repro.serve.metrics import ServerMetrics
 from repro.serve.server import SolverServer
 from repro.solvers import PanguLUSolver, fold_rhs, unfold_rhs
 from repro.sparse import matvec
+from tests.test_refactorize import (
+    _late_zero_pivot,
+    assert_same_factorization,
+)
 
 
 def _newton_values(a, rng):
@@ -309,6 +313,77 @@ class TestServerDifferential:
             assert np.array_equal(x_solo, expect)
             assert np.array_equal(x_piped, expect)
             assert np.all(np.isfinite(expect))
+
+
+# ----------------------------------------------------------------------
+# bad values and failed refactorisations leave the session usable
+# ----------------------------------------------------------------------
+class TestServerBadValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_are_bad_requests(self, bad, rng):
+        a = circuit_like(120, seed=11)
+        b = rng.standard_normal(a.nrows)
+        a_bad = _newton_values(a, rng)
+        a_bad.data[40] = bad
+        row = int(np.searchsorted(a_bad.indptr, 40, side="right")) - 1
+        col = int(a_bad.indices[40])
+        with BackgroundServer() as bg:
+            with SolverClient(bg.host, bg.port) as client:
+                with pytest.raises(ServerError) as exc:
+                    client.factorize(a_bad, solver="pangulu", block_size=16)
+                assert exc.value.code == "BAD_REQUEST"
+                assert f"(row {row}, col {col})" in str(exc.value)
+                assert client.stats()["sessions"] == []
+                session = client.factorize(a, solver="pangulu",
+                                           block_size=16)["session"]
+                x0 = client.solve(session, b)
+                for request in (
+                        lambda: client.refactorize(session, data=a_bad.data),
+                        lambda: client.refactorize(session, a=a_bad),
+                        lambda: client.factorize(a_bad, solver="pangulu",
+                                                 block_size=16)):
+                    with pytest.raises(ServerError) as exc:
+                        request()
+                    assert exc.value.code == "BAD_REQUEST"
+                    assert np.array_equal(client.solve(session, b), x0)
+                a2 = _newton_values(a, rng)
+                client.refactorize(session, data=a2.data)
+                x2 = client.solve(session, b)
+        fresh = PanguLUSolver(a2, block_size=16,
+                              scheduler="trojan").factorize()
+        assert np.array_equal(x2, fresh.solve(b))
+
+    def test_failed_refactorize_leaves_no_stale_state(self, rng):
+        """A zero pivot mid-replay fails the request; the session keeps
+        solving the previous values and the next good refactorize is
+        bit-identical to a fresh in-process factorize."""
+        a = circuit_like(120, seed=3)
+        a1 = _newton_values(a, rng)
+        b = rng.standard_normal(a.nrows)
+        with BackgroundServer() as bg:
+            with SolverClient(bg.host, bg.port) as client:
+                session = client.factorize(a, solver="pangulu",
+                                           block_size=16)["session"]
+                client.refactorize(session, data=a1.data)
+                solver = bg.server.sessions[session].solver
+                r1 = solver.result
+                bad = _late_zero_pivot(r1.perm, a1)
+                with pytest.raises(ServerError) as exc:
+                    client.refactorize(session, data=bad.data)
+                assert "zero pivot" in str(exc.value)
+                assert solver.result is r1
+                x1 = client.solve(session, b, refine=1)
+                a2 = _newton_values(a, rng)
+                client.refactorize(session, data=a2.data)
+                x2 = client.solve(session, b, refine=1)
+                r2 = solver.result
+        expect1 = PanguLUSolver(a1, block_size=16,
+                                scheduler="trojan").factorize()
+        assert np.array_equal(x1, expect1.solve(b, refine=1, a=a1))
+        fresh = PanguLUSolver(a2, block_size=16,
+                              scheduler="trojan").factorize()
+        assert_same_factorization(r2, fresh)
+        assert np.array_equal(x2, fresh.solve(b, refine=1, a=a2))
 
 
 # ----------------------------------------------------------------------
