@@ -152,12 +152,10 @@ def build_solve_dag(
         chains.append((dest, srcs))
         n_updates += len(srcs)
 
-    pred_count = np.zeros(nb + n_updates, dtype=np.int64)
     successors: list[list[int]] = [[] for _ in range(nb + n_updates)]
 
     def edge(a: int, b: int) -> None:
         successors[a].append(b)
-        pred_count[b] += 1
 
     for dest, srcs in chains:
         prev = None
@@ -169,8 +167,7 @@ def build_solve_dag(
             prev = tid
         if prev is not None:
             edge(prev, diag_id[dest])
-    return TaskDAG(tasks=tasks, pred_count=pred_count,
-                   successors=successors, part=part)
+    return TaskDAG.from_tasks(tasks, successors, part)
 
 
 class LevelSetScheduler:

@@ -18,8 +18,9 @@ re-stamp tiles and replay the recorded launches of the session's last
 schedule, skipping ordering, symbolic analysis and the scheduler (the
 ``streams`` scheduler, whose launches overlap, re-runs instead) — which
 is the Newton-loop traffic shape of ``examples/circuit_simulation.py``.
-A NaN or infinite value is a ``BAD_REQUEST`` that leaves the session
-as it was.
+An empty (0×0) matrix or a NaN or infinite value is a ``BAD_REQUEST``
+that leaves the session as it was (the wire protocol already refuses
+empty shapes before the solver sees them).
 ``solve`` requests hit the session's warm, lazily-built SpTRSV contexts.
 Admission control (a max-inflight bound over a bounded queue, plus
 per-request deadlines honoured while queued) turns overload into fast
@@ -54,7 +55,7 @@ from repro.serve.protocol import (
     read_message,
 )
 from repro.solvers import SOLVER_REGISTRY
-from repro.solvers.base import NonFiniteValuesError
+from repro.solvers.base import EmptyMatrixError, NonFiniteValuesError
 from repro.solvers.engine import NumericEngine
 from repro.solvers.sptrsv import fold_rhs, unfold_rhs
 from repro.sparse import CSRMatrix, permute_symmetric
@@ -95,11 +96,12 @@ class _Session:
 
 @contextlib.contextmanager
 def _bad_values_rejected():
-    """Report non-finite matrix values as ``BAD_REQUEST``: the solver
-    rejects them before touching any session state."""
+    """Report an empty matrix or non-finite matrix values as
+    ``BAD_REQUEST``: the solver rejects them before touching any session
+    state."""
     try:
         yield
-    except NonFiniteValuesError as exc:
+    except (EmptyMatrixError, NonFiniteValuesError) as exc:
         raise ServeError("BAD_REQUEST", str(exc)) from exc
 
 

@@ -23,7 +23,7 @@ from repro.solvers.engine import (
     scale_stats,
 )
 from repro.solvers.tilepool import TileArena, TileViews
-from repro.solvers.base import NonFiniteValuesError
+from repro.solvers.base import EmptyMatrixError, NonFiniteValuesError
 from repro.solvers.sptrsv import (
     RhsPool,
     SolveResult,
@@ -63,6 +63,7 @@ __all__ = [
     "sptrsv_solve",
     "unfold_rhs",
     "FactorizationResult",
+    "EmptyMatrixError",
     "NonFiniteValuesError",
     "resimulate",
     "scale_stats",

@@ -44,6 +44,20 @@ def check_finite(a: CSRMatrix) -> None:
         "factorisation needs finite values")
 
 
+class EmptyMatrixError(ValueError):
+    """The matrix has no rows or no columns: there is no system to
+    factorise (the partitioners cannot cut an empty range)."""
+
+
+def check_nonempty(a: CSRMatrix) -> None:
+    """Raise :class:`EmptyMatrixError` naming the shape of a matrix
+    with no rows or no columns."""
+    if a.nrows == 0 or a.ncols == 0:
+        raise EmptyMatrixError(
+            f"matrix shape {a.nrows}x{a.ncols} is empty; factorisation "
+            "needs at least one row and one column")
+
+
 class BlockSolverBase:
     """Template for the GPU solver substrates.
 
@@ -154,8 +168,10 @@ class BlockSolverBase:
         numeric phase in-process; ``repro.parallel`` calls it with
         ``arena_factory=SharedTileArena`` so the same front-end feeds a
         multiprocess numeric phase on shared tiles.  Raises
-        :class:`NonFiniteValuesError` if a value is NaN or infinite.
+        :class:`EmptyMatrixError` for a matrix with no rows or columns
+        and :class:`NonFiniteValuesError` if a value is NaN or infinite.
         """
+        check_nonempty(self.a)
         check_finite(self.a)
         t0 = time.perf_counter()
         perm = compute_ordering(self.a, self.ordering)

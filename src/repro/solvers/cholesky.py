@@ -92,13 +92,10 @@ def build_cholesky_dag(fill: np.ndarray, part: Partition) -> TaskDAG:
                 tid = add(TaskType.SSSSM, k, int(i), int(j))
                 update_ids.append((tid, k, int(i), int(j)))
 
-    n = len(tasks)
-    pred = np.zeros(n, dtype=np.int64)
-    succ: list[list[int]] = [[] for _ in range(n)]
+    succ: list[list[int]] = [[] for _ in range(len(tasks))]
 
     def edge(a: int, b: int) -> None:
         succ[a].append(b)
-        pred[b] += 1
 
     for k in range(nb):
         for i in lower_of[k]:
@@ -111,7 +108,7 @@ def build_cholesky_dag(fill: np.ndarray, part: Partition) -> TaskDAG:
             edge(tid, potrf_id[i])
         else:
             edge(tid, trsm_id[(i, j)])
-    return TaskDAG(tasks=tasks, pred_count=pred, successors=succ, part=part)
+    return TaskDAG.from_tasks(tasks, succ, part)
 
 
 class CholeskyEngine:

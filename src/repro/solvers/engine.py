@@ -42,7 +42,7 @@ from repro.kernels.tilekernels import (
 )
 from repro.solvers.tilepool import TileArena, TileViews
 from repro.sparse import COOMatrix, CSRMatrix, triangular_solve
-from repro.sparse.blocking import Partition, split_tiles
+from repro.sparse.blocking import Partition, tile_nnz_counts
 from repro.symbolic import block_fill, symbolic_fill
 
 
@@ -342,8 +342,7 @@ class NumericEngine:
 
         def _block_analysis():
             bfill = block_fill(a, part)
-            fill_tiles = split_tiles(self.fill.filled, part)
-            tile_nnz = {key: t.nnz for key, t in fill_tiles.items()}
+            tile_nnz = tile_nnz_counts(self.fill.filled, part)
             dag = build_block_dag(
                 bfill, part, tile_nnz,
                 sparse_tiles=sparse_tiles, owner_of=owner_of,

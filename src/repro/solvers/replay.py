@@ -82,7 +82,6 @@ class LaunchReplay:
         sched_backend = self._sched_backend
         batched = hasattr(sched_backend, "run_batch_tasks")
         arrays = self._dag.task_arrays()
-        tasks = self._dag.tasks
         plans = self._plans
         template = self._template
         records: list[BatchRecord] = []
@@ -97,6 +96,7 @@ class LaunchReplay:
                 flops, nbytes = backend.run_plan(plan)
             else:
                 flops = nbytes = 0
+                tasks = self._dag.tasks
                 for idx, tid in enumerate(tids.tolist()):
                     s = sched_backend.run_task(tasks[tid], bool(atomic[idx]))
                     flops += s.flops

@@ -32,6 +32,7 @@ from repro.sparse.blocking import (
     partition_from_boundaries,
     extract_block,
     split_tiles,
+    tile_nnz_counts,
     block_pattern,
     assemble_from_blocks,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "partition_from_boundaries",
     "extract_block",
     "split_tiles",
+    "tile_nnz_counts",
     "block_pattern",
     "assemble_from_blocks",
 ]

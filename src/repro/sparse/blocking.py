@@ -147,6 +147,23 @@ def split_tiles(a: CSRMatrix, part: Partition) -> dict[tuple[int, int], CSRMatri
     return tiles
 
 
+def tile_nnz_counts(a: CSRMatrix,
+                    part: Partition) -> dict[tuple[int, int], int]:
+    """Stored entries per nonempty tile, ``{(bi, bj): nnz}`` in tile-id
+    order — the ``.nnz`` of every tile :func:`split_tiles` would build,
+    counted with one ``np.bincount`` over the entries' tile ids."""
+    if a.nrows != part.n or a.ncols != part.n:
+        raise ValueError("partition does not cover the matrix")
+    nb = part.nblocks
+    per_block_row = np.diff(a.indptr[part.boundaries])
+    tile_id = (np.repeat(np.arange(nb, dtype=np.int64), per_block_row) * nb
+               + part.block_of(a.indices))
+    counts = np.bincount(tile_id, minlength=nb * nb)
+    tiles = np.flatnonzero(counts)
+    bi, bj = np.divmod(tiles, nb)
+    return dict(zip(zip(bi.tolist(), bj.tolist()), counts[tiles].tolist()))
+
+
 def block_pattern(a: CSRMatrix, part: Partition) -> np.ndarray:
     """Boolean ``nblocks × nblocks`` map of which tiles hold any nonzero."""
     nb = part.nblocks

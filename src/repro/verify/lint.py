@@ -69,6 +69,8 @@ RULES = {
 #: scheduler/kernel layer promises to keep vectorized).
 HOT_NNZ_MODULES = (
     "sparse/",
+    "core/dag.py",
+    "core/fusion.py",
     "kernels/batched.py",
     "kernels/flops.py",
     "cluster/engine.py",

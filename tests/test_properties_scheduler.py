@@ -56,15 +56,12 @@ def _random_dag(n_tasks: int, edge_prob: float, seed: int) -> TaskDAG:
             bytes_est=int(rng.integers(8, 100_000)),
         ))
     successors = [[] for _ in range(n_tasks)]
-    pred_count = np.zeros(n_tasks, dtype=np.int64)
     for u in range(n_tasks):
         for v in range(u + 1, n_tasks):
             if rng.random() < edge_prob:
                 successors[u].append(v)
-                pred_count[v] += 1
-    return TaskDAG(tasks=tasks, pred_count=pred_count,
-                   successors=successors,
-                   part=uniform_partition(NB * 16, 16))
+    return TaskDAG.from_tasks(tasks, successors,
+                              uniform_partition(NB * 16, 16))
 
 
 dag_params = st.tuples(
@@ -129,8 +126,7 @@ def test_trojan_respects_max_batch_tasks(params):
 
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_empty_dag_is_noop(name):
-    dag = TaskDAG(tasks=[], pred_count=np.zeros(0, dtype=np.int64),
-                  successors=[], part=uniform_partition(NB * 16, 16))
+    dag = TaskDAG.from_tasks([], [], uniform_partition(NB * 16, 16))
     result = make_scheduler(
         name, dag, EstimateBackend(), GPUCostModel(RTX5090)
     ).run()

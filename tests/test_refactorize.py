@@ -23,7 +23,7 @@ from repro.gpusim.specs import RTX5090
 from repro.kernels.tilekernels import ColumnarStats
 from repro.matrices import circuit_like, poisson2d
 from repro.solvers import NumericBackend, PanguLUSolver, SuperLUSolver
-from repro.solvers.base import NonFiniteValuesError
+from repro.solvers.base import EmptyMatrixError, NonFiniteValuesError
 from repro.solvers.replay import REPLAY_SCHEDULERS, LaunchReplay
 from repro.sparse import CSRMatrix, matvec, permute_symmetric
 from repro.sparse.blocking import uniform_partition
@@ -182,8 +182,7 @@ class TestLaunchReplay:
 
     @pytest.mark.parametrize("scheduler", ["serial", "levelbatch", "trojan"])
     def test_empty_dag(self, scheduler):
-        dag = TaskDAG(tasks=[], pred_count=np.zeros(0, dtype=np.int64),
-                      successors=[], part=uniform_partition(32, 16))
+        dag = TaskDAG.from_tasks([], [], uniform_partition(32, 16))
         backend = NumericBackend(types.SimpleNamespace(dag=dag))
         model = GPUCostModel(RTX5090)
         want = make_scheduler(scheduler, dag, backend, model).run()
@@ -305,6 +304,17 @@ class TestNonFiniteValues:
         a.data[-1] = np.nan
         with pytest.raises(ValueError, match="row 63, col 63"):
             SuperLUSolver(a).factorize()
+
+
+class TestEmptyMatrix:
+    @pytest.mark.parametrize("cls", [PanguLUSolver, SuperLUSolver])
+    def test_factorize_rejects_and_names_shape(self, cls):
+        a = CSRMatrix((0, 0), np.zeros(1, dtype=np.int64),
+                      np.empty(0, dtype=np.int64), np.empty(0))
+        with pytest.raises(EmptyMatrixError, match="shape 0x0"):
+            cls(a).factorize()
+        with pytest.raises(ValueError):
+            cls(a).prepare_engine()
 
 
 class TestFailedRefactorize:

@@ -30,7 +30,7 @@ from repro.serve import (
 from repro.serve.metrics import ServerMetrics
 from repro.serve.server import SolverServer
 from repro.solvers import PanguLUSolver, fold_rhs, unfold_rhs
-from repro.sparse import matvec
+from repro.sparse import CSRMatrix, matvec
 from tests.test_refactorize import (
     _late_zero_pivot,
     assert_same_factorization,
@@ -352,6 +352,19 @@ class TestServerBadValues:
         fresh = PanguLUSolver(a2, block_size=16,
                               scheduler="trojan").factorize()
         assert np.array_equal(x2, fresh.solve(b))
+
+    def test_empty_matrix_is_bad_request(self):
+        a = CSRMatrix((0, 0), np.zeros(1, dtype=np.int64),
+                      np.empty(0, dtype=np.int64), np.empty(0))
+        with BackgroundServer() as bg:
+            with SolverClient(bg.host, bg.port) as client:
+                for solver in ("pangulu", "superlu"):
+                    for request in (client.factorize, client.analyze):
+                        with pytest.raises(ServerError) as exc:
+                            request(a, solver=solver)
+                        assert exc.value.code == "BAD_REQUEST"
+                        assert "[0, 0]" in str(exc.value)
+                assert client.stats()["sessions"] == []
 
     def test_failed_refactorize_leaves_no_stale_state(self, rng):
         """A zero pivot mid-replay fails the request; the session keeps

@@ -45,13 +45,10 @@ def batches(dag):
 def _synthetic_dag(tasks, edges=()):
     """A hand-built DAG over an 8×8 tile grid."""
     successors = [[] for _ in tasks]
-    pred_count = np.zeros(len(tasks), dtype=np.int64)
     for u, v in edges:
         successors[u].append(v)
-        pred_count[v] += 1
-    return TaskDAG(tasks=tasks, pred_count=pred_count,
-                   successors=successors,
-                   part=uniform_partition(8 * 16, 16))
+    return TaskDAG.from_tasks(tasks, successors,
+                              uniform_partition(8 * 16, 16))
 
 
 def _task(tid, ttype, k, i, j):
