@@ -109,6 +109,14 @@ def _rhs_nnz(stack: np.ndarray) -> np.ndarray:
     return np.count_nonzero(stack, axis=(1, 2, 3)).astype(np.int64)
 
 
+def _zero_diagonal(dstack: np.ndarray) -> list:
+    """Ascending diagonal positions that are zero in any slice of a
+    ``(B, m, m)`` stack — one vectorised test instead of one per step
+    of a substitution loop."""
+    diag = np.diagonal(dstack, axis1=1, axis2=2)
+    return np.flatnonzero((diag == 0.0).any(axis=0)).tolist()
+
+
 def batched_ssssm_products(lstack: np.ndarray, ustack: np.ndarray,
                            sparse: bool = False
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,15 +206,15 @@ def batched_tstrf(bstack: np.ndarray, dstack: np.ndarray,
     m = dstack.shape[1]
     if bstack.shape[2] != m:
         raise ValueError("dimension mismatch in batched_tstrf")
+    zero = _zero_diagonal(dstack)
+    if zero:
+        raise ZeroDivisionError(f"zero diagonal at column {zero[0]}")
     nnz_in = _stack_nnz(bstack)  # bytes count actual nonzeros either way
     for c in range(m):
         if c:
             bstack[:, :, c] -= np.matmul(bstack[:, :, :c],
                                          dstack[:, :c, c][:, :, None])[:, :, 0]
-        d = dstack[:, c, c]
-        if np.any(d == 0.0):
-            raise ZeroDivisionError(f"zero diagonal at column {c}")
-        bstack[:, :, c] /= d[:, None]
+        bstack[:, :, c] /= dstack[:, c, c][:, None]
     if sparse:
         avg = np.count_nonzero(np.triu(dstack), axis=(1, 2)) / m
         nnz_out = _stack_nnz(bstack)
@@ -238,6 +246,11 @@ def batched_sptrsv_diag(bstack: np.ndarray, dstack: np.ndarray,
     m = dstack.shape[1]
     if bstack.shape[2] != m:
         raise ValueError("dimension mismatch in batched_sptrsv_diag")
+    if not unit_diagonal:
+        zero = _zero_diagonal(dstack)
+        if zero:
+            r = zero[0] if lower else zero[-1]
+            raise ZeroDivisionError(f"zero diagonal at row {r}")
     nnz_in = _rhs_nnz(bstack)
     rows = range(m) if lower else range(m - 1, -1, -1)
     for r in rows:
@@ -251,10 +264,7 @@ def batched_sptrsv_diag(bstack: np.ndarray, dstack: np.ndarray,
                 dstack[:, None, r:r + 1, r + 1:],
                 bstack[:, :, r + 1:, :])[:, :, 0, :]
         if not unit_diagonal:
-            d = dstack[:, r, r]
-            if np.any(d == 0.0):
-                raise ZeroDivisionError(f"zero diagonal at row {r}")
-            bstack[:, :, r, :] /= d[:, None, None]
+            bstack[:, :, r, :] /= dstack[:, r, r][:, None, None]
     if sparse:
         if lower:
             read = np.tril(dstack, -1) if unit_diagonal else np.tril(dstack)

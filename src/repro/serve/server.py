@@ -21,7 +21,10 @@ is the Newton-loop traffic shape of ``examples/circuit_simulation.py``.
 An empty (0×0) matrix or a NaN or infinite value is a ``BAD_REQUEST``
 that leaves the session as it was (the wire protocol already refuses
 empty shapes before the solver sees them).
-``solve`` requests hit the session's warm, lazily-built SpTRSV contexts.
+``solve`` requests hit the session's warm, lazily-built substitution
+plans (SpTRSV contexts on the DAG path); a right-hand side of the wrong
+shape or dtype, or with a NaN or infinite value, is a ``BAD_REQUEST``
+too.
 Admission control (a max-inflight bound over a bounded queue, plus
 per-request deadlines honoured while queued) turns overload into fast
 ``OVERLOADED``/``DEADLINE`` rejections instead of collapse.
@@ -56,7 +59,7 @@ from repro.serve.protocol import (
 )
 from repro.solvers import SOLVER_REGISTRY
 from repro.solvers.base import EmptyMatrixError, NonFiniteValuesError
-from repro.solvers.engine import NumericEngine
+from repro.solvers.engine import NumericEngine, check_rhs
 from repro.solvers.sptrsv import fold_rhs, unfold_rhs
 from repro.sparse import CSRMatrix, permute_symmetric
 
@@ -147,8 +150,9 @@ class SolverServer:
         before its micro-batched launch flushes.
     micro_batch:
         Fold same-session DAG-path solves into one multi-RHS launch.
-        CSR-path solves always run solo: only the DAG path carries the
-        bitwise column-equivariance contract folding relies on.
+        Default-path solves run solo: that path is bitwise
+        column-equivariant too, but with one session per client nothing
+        would fold and the window would only add latency.
     cache_capacity:
         Entries in the shared pattern-keyed analysis cache.
     default_deadline_ms:
@@ -576,13 +580,13 @@ class SolverServer:
     async def _op_solve(self, header, arrays, t0):
         session = self._session_of(header)
         b = arrays.get("b")
-        if b is None or b.ndim not in (1, 2):
-            raise ServeError("BAD_REQUEST",
-                             "solve needs a 1-D or 2-D array 'b'")
-        if b.shape[0] != session.a.nrows:
-            raise ServeError("BAD_REQUEST",
-                             f"b has {b.shape[0]} rows, system has "
-                             f"{session.a.nrows}")
+        if b is None:
+            raise ServeError("BAD_REQUEST", "solve needs an array 'b'")
+        try:
+            # the solver's own check, run before a fold group can form
+            check_rhs(b, session.a.nrows)
+        except (ValueError, TypeError) as exc:
+            raise ServeError("BAD_REQUEST", str(exc)) from exc
         refine = int(header.get("refine", 0))
         if refine < 0:
             raise ServeError("BAD_REQUEST", "refine must be >= 0")

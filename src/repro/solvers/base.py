@@ -13,21 +13,13 @@ from repro.gpusim.specs import GPUSpec, RTX5090
 from repro.ordering import compute_ordering
 from repro.solvers.engine import (
     FactorizationResult,
+    NonFiniteValuesError,
     NumericBackend,
     NumericEngine,
 )
 from repro.solvers.replay import REPLAY_SCHEDULERS, LaunchReplay
 from repro.sparse import CSRMatrix, permute_symmetric
 from repro.sparse.blocking import Partition
-
-
-class NonFiniteValuesError(ValueError):
-    """The matrix holds a NaN or infinite value.
-
-    Tile extraction drops NaN entries (``abs(nan) > tol`` is false), so
-    a non-finite input would otherwise "factorise" into finite, wrong
-    factors; it is rejected up front instead.
-    """
 
 
 def check_finite(a: CSRMatrix) -> None:
@@ -242,10 +234,14 @@ class BlockSolverBase:
         Raises :class:`NonFiniteValuesError` (before touching the tiles)
         if a value is NaN or infinite.  If the numeric phase fails (a
         zero pivot), :attr:`result` keeps the previous factorisation.
+        The previous result's substitution plans are dropped first (it
+        rebuilds them if it solves again), so a Newton loop never holds
+        two plan pairs at the refactorisation's memory peak.
         """
         if self.result is None:
             raise RuntimeError("call factorize() before refactorize()")
         check_finite(a_new)
+        self.result.drop_solve_plans()
         t0 = time.perf_counter()
         permuted = permute_symmetric(a_new, self._perm)
         engine = self._engine

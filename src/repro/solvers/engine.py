@@ -41,8 +41,9 @@ from repro.kernels.tilekernels import (
     tstrf_kernel,
 )
 from repro.solvers.tilepool import TileArena, TileViews
-from repro.sparse import COOMatrix, CSRMatrix, triangular_solve
+from repro.sparse import COOMatrix, CSRMatrix
 from repro.sparse.blocking import Partition, tile_nnz_counts
+from repro.sparse.triplan import TriangularPlan
 from repro.symbolic import block_fill, symbolic_fill
 
 
@@ -549,6 +550,46 @@ class NumericBackend:
         return self._record(plan.tids, flops, nbytes)
 
 
+class NonFiniteValuesError(ValueError):
+    """A matrix or right-hand side holds a NaN or infinite value.
+
+    Tile extraction drops NaN entries (``abs(nan) > tol`` is false), so
+    a non-finite input would otherwise "factorise" into finite, wrong
+    factors; a non-finite right-hand side would only surface as a NaN
+    solution.  Both are rejected up front instead.
+    """
+
+
+def check_rhs(b, n: int) -> np.ndarray:
+    """Validate a right-hand side for an ``n``-row system.
+
+    Returns ``b`` as a float64 array.  Raises ``ValueError`` unless it
+    is 1-D or 2-D with ``n`` rows, ``TypeError`` unless its dtype is
+    real (floating or integer), and :class:`NonFiniteValuesError`
+    naming the first non-finite entry's ``(row, col)`` (col 0 for 1-D).
+    """
+    b = np.asarray(b)
+    if b.ndim not in (1, 2):
+        raise ValueError(
+            f"right-hand side must be 1-D or 2-D, got {b.ndim}-D")
+    if b.shape[0] != n:
+        raise ValueError(
+            f"right-hand side has {b.shape[0]} rows, matrix has {n}")
+    if not np.issubdtype(b.dtype, np.floating) \
+            and not np.issubdtype(b.dtype, np.integer):
+        raise TypeError(
+            f"right-hand side dtype {b.dtype} is not real-numeric")
+    b = b.astype(np.float64, copy=False)
+    b2 = b[:, None] if b.ndim == 1 else b
+    finite = np.isfinite(b2)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), b2.shape[1])
+        raise NonFiniteValuesError(
+            f"right-hand side value at (row {row}, col {col}) is "
+            f"{float(b2[row, col])!r}; the solve needs finite values")
+    return b
+
+
 @dataclass
 class FactorizationResult:
     """Everything a factorisation run produces.
@@ -590,6 +631,9 @@ class FactorizationResult:
     #: cached (L, U) SpTRSV contexts for the batched solve path
     _solve_ctx: "tuple | None" = field(default=None, repr=False,
                                        compare=False)
+    #: cached (L, U) blocked-substitution plans for the default path
+    _solve_plan: "tuple | None" = field(default=None, repr=False,
+                                        compare=False)
 
     def solve(self, b: np.ndarray, refine: int = 0,
               a: "CSRMatrix | None" = None,
@@ -599,6 +643,22 @@ class FactorizationResult:
 
         Applies the symmetric permutation: ``PAPᵀ = LU`` means
         ``x = Pᵀ (U⁻¹ L⁻¹ P b)``.
+
+        The default path substitutes through the blocked plans of
+        :meth:`solve_plans` (:class:`~repro.sparse.triplan.TriangularPlan`):
+        ``⌈n/32⌉`` block steps per factor, each one folded ``bincount``
+        plus one matmul by an inverted diagonal block.  The plans are
+        built on the first solve and reused by every later solve and
+        refinement sweep.  A 2-D ``b`` is one system per column, and
+        each column of the result is bit-identical to the 1-D solve of
+        that column, on both paths.
+
+        ``b`` is validated before any work: it must be 1-D or 2-D with
+        ``n`` rows (``ValueError``), of a real dtype (``TypeError``) and
+        finite (:class:`NonFiniteValuesError`, naming the first
+        ``(row, col)``).  A 2-D ``b`` with no columns returns an
+        ``(n, 0)`` array.  A zero diagonal in ``U`` raises
+        ``ZeroDivisionError`` naming the row of the permuted system.
 
         Parameters
         ----------
@@ -611,18 +671,22 @@ class FactorizationResult:
             residuals.
         batch_solve:
             Run the substitutions through the batched SpTRSV task DAGs
-            (:mod:`repro.solvers.sptrsv`) instead of the per-column CSR
-            recurrence.  ``None`` (default) reads the
-            ``REPRO_BATCH_SOLVE`` environment knob (off unless set).
+            (:mod:`repro.solvers.sptrsv`) instead of the blocked plans —
+            the simulated, schedulable form of the solve.  ``None``
+            (default) reads the ``REPRO_BATCH_SOLVE`` environment knob
+            (off unless set).
         solve_scheduler:
             DAG-path scheduling policy (``trojan``, ``levelset``,
-            ``levelbatch``, ``serial``); ignored on the CSR path.
+            ``levelbatch``, ``serial``); ignored on the default path.
         """
         refine = int(refine)
         if refine < 0:
             raise ValueError(f"refine must be >= 0, got {refine}")
         if refine and a is None:
             raise ValueError("iterative refinement needs the original matrix")
+        b = check_rhs(b, self.L.nrows)
+        if b.ndim == 2 and b.shape[1] == 0:
+            return np.zeros(b.shape)
         use_dag = (batch_solve_enabled() if batch_solve is None
                    else bool(batch_solve))
         if use_dag:
@@ -630,7 +694,6 @@ class FactorizationResult:
                 return self._substitute_dag(rhs, solve_scheduler)
         else:
             sub = self._substitute
-        b = np.asarray(b, dtype=np.float64)
         x = sub(b)
         for _ in range(refine):
             from repro.sparse import matvec
@@ -676,10 +739,27 @@ class FactorizationResult:
             )
         return self._solve_ctx
 
+    def solve_plans(self):
+        """The lazily-built ``(L, U)`` blocked-substitution plans of the
+        default solve path — a pure function of ``L`` and ``U``, built
+        once per factorisation."""
+        if self._solve_plan is None:
+            self._solve_plan = (
+                TriangularPlan.from_csr(self.L, lower=True,
+                                        unit_diagonal=True),
+                TriangularPlan.from_csr(self.U, lower=False),
+            )
+        return self._solve_plan
+
+    def drop_solve_plans(self) -> None:
+        """Forget the cached plans; the next solve rebuilds them (bit
+        for bit — they are a pure function of ``L`` and ``U``)."""
+        self._solve_plan = None
+
     def _substitute(self, b: np.ndarray) -> np.ndarray:
+        lplan, uplan = self.solve_plans()
         pb = b[self.perm] if b.ndim == 1 else b[self.perm, :]
-        y = triangular_solve(self.L, pb, lower=True)
-        z = triangular_solve(self.U, y, lower=False)
+        z = uplan.solve(lplan.solve(pb))
         x = np.empty_like(z)
         x[self.perm] = z
         return x

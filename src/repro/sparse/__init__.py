@@ -4,7 +4,8 @@ This subpackage provides the storage formats and structural operations that
 every other layer of the reproduction builds on: COO (triplet) assembly,
 CSR/CSC compressed formats, format conversion, symmetric permutation, block
 (tile) extraction and scatter, sparse matrix products, and triangular
-solves.  Everything is implemented directly on NumPy arrays — no SciPy —
+solves (row by row, and blocked with inverted diagonal blocks).
+Everything is implemented directly on NumPy arrays — no SciPy —
 following the vectorisation idioms of the HPC-Python guides (expand /
 sort / reduce rather than Python-level loops wherever the operation is on
 the nonzero stream).
@@ -20,6 +21,7 @@ from repro.sparse.ops import (
     triangular_solve,
     matvec,
 )
+from repro.sparse.triplan import SOLVE_BLOCK, TriangularPlan
 from repro.sparse.permute import (
     permute_symmetric,
     permute_rows,
@@ -46,6 +48,8 @@ __all__ = [
     "sparse_scale",
     "triangular_solve",
     "matvec",
+    "SOLVE_BLOCK",
+    "TriangularPlan",
     "permute_symmetric",
     "permute_rows",
     "permute_cols",
